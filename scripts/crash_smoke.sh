@@ -14,9 +14,11 @@
 # Usage: scripts/crash_smoke.sh <helper-binary> <iterations> <out-json>
 #   helper-binary  build/tests/crash_ingest_helper
 #   iterations     how many kill+recover rounds per loop (the ingest loop
-#                  cycles payload -> precommit -> postcommit -> segment,
-#                  the last one killing mid-raw-segment-seal; the
-#                  migration loop varies the armed payload-append count)
+#                  cycles payload -> precommit -> postcommit -> segment ->
+#                  writeback, the fourth killing mid-raw-segment-seal and
+#                  the fifth after an acked ingest whose page write-back
+#                  failed and a forced checkpoint; the migration loop
+#                  varies the armed payload-append count)
 #   out-json       where to write the collected recovery stats
 set -euo pipefail
 
@@ -28,7 +30,7 @@ STORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_smoke.XXXXXX")"
 MSTORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_msmoke.XXXXXX")"
 trap 'rm -rf "${STORE}" "${MSTORE}"' EXIT
 
-MODES=(payload precommit postcommit segment)
+MODES=(payload precommit postcommit segment writeback)
 RUNS=""
 
 for ((i = 0; i < ITERATIONS; ++i)); do

@@ -227,25 +227,20 @@ Status AimsSystem::OpenDurable() {
 
 Result<SessionId> AimsSystem::IngestRecording(
     const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
-  AIMS_RETURN_NOT_OK(init_status_);
-  if (durable()) {
-    AIMS_ASSIGN_OR_RETURN(
-        StagedIngest staged,
-        IngestRecordingStaged(name, recording, trace, updates));
-    AIMS_RETURN_NOT_OK(WaitDurable(staged));
-    AIMS_RETURN_NOT_OK(ApplyDurable(staged));
-    return staged.id;
-  }
-  AIMS_ASSIGN_OR_RETURN(StoredSession session,
-                        BuildSession(name, recording, trace, updates));
-  sessions_.push_back(std::move(session));
-  return sessions_.back().info.id;
+    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
+    const std::vector<storage::tslife::Segment>* segments) {
+  AIMS_ASSIGN_OR_RETURN(
+      StagedIngest staged,
+      IngestRecordingStaged(name, recording, trace, updates, segments));
+  AIMS_RETURN_NOT_OK(WaitDurable(staged));
+  ApplyDurable(staged);
+  return staged.id;
 }
 
 Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
+    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
+    const std::vector<storage::tslife::Segment>* segments) {
   if (recording.num_frames() < 2) {
     return Status::InvalidArgument("IngestRecording: too few frames");
   }
@@ -264,10 +259,18 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     return Status::InvalidArgument("IngestRecording: block size too small");
   }
 
-  // Raw-sample lifecycle: segment timestamps on the microsecond grid
-  // (frame timestamps are seconds; ms would alias above 1 kHz).
+  // Raw-sample lifecycle: a migration copy adopts the source's sealed
+  // segments verbatim; otherwise tier 0 is sealed from the recording, with
+  // timestamps on the microsecond grid (frame timestamps are seconds; ms
+  // would alias above 1 kHz).
+  const bool seal = config_.tslife.enabled && segments == nullptr;
+  if (segments != nullptr) {
+    for (const storage::tslife::Segment& seg : *segments) {
+      session.segments.Put(seg);
+    }
+  }
   std::vector<int64_t> t_us;
-  if (config_.tslife.enabled) {
+  if (seal) {
     t_us.reserve(recording.num_frames());
     for (const streams::Frame& frame : recording.frames) {
       t_us.push_back(
@@ -281,7 +284,7 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     // Seal the channel's *raw* samples (pre-centering, pre-padding) into
     // Gorilla segments beside the wavelet blocks — tier 0 of the storage
     // lifecycle, bit-exact against the ingested values.
-    if (config_.tslife.enabled) {
+    if (seal) {
       std::vector<storage::tslife::Segment> segments =
           storage::tslife::BuildSegments(c, t_us, channel,
                                          recording.sample_rate_hz,
@@ -361,101 +364,94 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
 
 Result<AimsSystem::StagedIngest> AimsSystem::IngestRecordingStaged(
     const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
+    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
+    const std::vector<storage::tslife::Segment>* segments) {
   AIMS_RETURN_NOT_OK(init_status_);
-  if (!durable()) {
-    return Status::FailedPrecondition(
-        "IngestRecordingStaged: requires the durable backend");
-  }
-  // Phase 1 (exclusive): transform + stage. The buffer pool is in
-  // write-back mode, so every Put below parks its blocks dirty in the
-  // cache — no page-file I/O happens before the commit record is durable.
-  AIMS_ASSIGN_OR_RETURN(StoredSession session,
-                        BuildSession(name, recording, trace, updates));
+  // Phase 1 (exclusive): transform + stage. On the durable backend the
+  // buffer pool is in write-back mode, so every Put below parks its blocks
+  // dirty in the cache — no page-file I/O happens before the commit
+  // record is durable.
+  AIMS_ASSIGN_OR_RETURN(
+      StoredSession session,
+      BuildSession(name, recording, trace, updates, segments));
   StagedIngest staged;
   staged.id = session.info.id;
   for (const StoredChannel& channel : session.channels) {
     const std::vector<storage::BlockId>& ids = channel.store->device_blocks();
     staged.blocks.insert(staged.blocks.end(), ids.begin(), ids.end());
   }
+  if (durable()) {
+    Status logged = LogIngest(session, &staged);
+    if (!logged.ok()) {
+      // Failed staging rolls the pool back: the dirty entries are dropped
+      // and no commit record was logged, so the ingest never happened.
+      cache_->DropDirty(staged.blocks);
+      return logged;
+    }
+    if (staged.txn_id > applied_txn_) applied_txn_ = staged.txn_id;
+  }
   pending_commits_.fetch_add(1, std::memory_order_relaxed);
-  // Failed staging rolls the pool back: the dirty entries are dropped and
-  // nothing was logged as committed, so the ingest simply never happened.
-  auto fail = [&](Status status) {
-    cache_->DropDirty(staged.blocks);
-    pending_commits_.fetch_sub(1, std::memory_order_relaxed);
-    return status;
-  };
-  Result<uint64_t> txn = wal_->BeginTxn();
-  if (!txn.ok()) return fail(txn.status());
-  staged.txn_id = *txn;
-  for (storage::BlockId id : staged.blocks) {
-    // The staged payload is pinned dirty in the pool, so this is a cache
-    // hit, never device I/O.
-    Result<std::vector<uint8_t>> payload = cache_->Read(id);
-    if (!payload.ok()) return fail(payload.status());
-    Status status = wal_->AppendBlockPut(staged.txn_id, id, *payload);
-    if (!status.ok()) return fail(status);
-  }
-  Status status = wal_->AppendCatalog(staged.txn_id, SerializeSession(session));
-  if (!status.ok()) return fail(status);
-  // The session's sealed raw segments ride the same record group: a crash
-  // after the commit record recovers them together with the catalog entry
-  // (no acked ingest loses its raw samples), a crash before it loses the
-  // whole ingest atomically.
-  for (const auto& [key, seg] : session.segments.segments()) {
-    (void)key;
-    Status seg_status = wal_->AppendSegment(
-        staged.txn_id,
-        storage::tslife::EncodeSegmentOp(storage::tslife::SegmentOp::Kind::kPut,
-                                         session.info.id, seg));
-    if (!seg_status.ok()) return fail(seg_status);
-  }
-  Result<uint64_t> ticket = wal_->AppendCommit(staged.txn_id);
-  if (!ticket.ok()) return fail(ticket.status());
-  staged.ticket = *ticket;
-  if (staged.txn_id > applied_txn_) applied_txn_ = staged.txn_id;
   sessions_.push_back(std::move(session));
   return staged;
 }
 
-Status AimsSystem::WaitDurable(const StagedIngest& staged) {
-  if (!durable()) {
-    return Status::FailedPrecondition("WaitDurable: not a durable system");
+Status AimsSystem::LogIngest(const StoredSession& session,
+                             StagedIngest* staged) {
+  AIMS_ASSIGN_OR_RETURN(staged->txn_id, wal_->BeginTxn());
+  for (storage::BlockId id : staged->blocks) {
+    // The staged payload is pinned dirty in the pool, so this is a cache
+    // hit, never device I/O.
+    AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, cache_->Read(id));
+    AIMS_RETURN_NOT_OK(wal_->AppendBlockPut(staged->txn_id, id, payload));
   }
-  return wal_->WaitDurable(staged.ticket);
+  AIMS_RETURN_NOT_OK(
+      wal_->AppendCatalog(staged->txn_id, SerializeSession(session)));
+  // The session's sealed raw segments ride the same record group: a crash
+  // after the commit record recovers them together with the catalog entry
+  // (no acked ingest or migration copy loses its raw samples), a crash
+  // before it loses the whole ingest atomically.
+  for (const auto& [key, seg] : session.segments.segments()) {
+    (void)key;
+    AIMS_RETURN_NOT_OK(wal_->AppendSegment(
+        staged->txn_id,
+        storage::tslife::EncodeSegmentOp(storage::tslife::SegmentOp::Kind::kPut,
+                                         session.info.id, seg)));
+  }
+  AIMS_ASSIGN_OR_RETURN(staged->ticket, wal_->AppendCommit(staged->txn_id));
+  return Status::OK();
 }
 
-Status AimsSystem::ApplyDurable(const StagedIngest& staged) {
-  if (!durable()) {
-    return Status::FailedPrecondition("ApplyDurable: not a durable system");
-  }
+Status AimsSystem::WaitDurable(const StagedIngest& staged) {
+  return durable() ? wal_->WaitDurable(staged.ticket) : Status::OK();
+}
+
+void AimsSystem::ApplyDurable(const StagedIngest& staged) {
   // Commit-time write-back: the transaction flushes exactly its own
-  // blocks. An error is reported but loses nothing — the group is in the
-  // WAL, and recovery replays it on the next open.
-  Status flush = cache_->FlushBlocks(staged.blocks);
+  // blocks. A failed write leaves the rest of them dirty and pinned; the
+  // WAL still holds the committed group, and Checkpoint writes them back
+  // before it may drop that group.
+  if (cache_ != nullptr) (void)cache_->FlushBlocks(staged.blocks);
   pending_commits_.fetch_sub(1, std::memory_order_relaxed);
-  AIMS_RETURN_NOT_OK(flush);
-  if (config_.durability.checkpoint_wal_bytes > 0 &&
+  if (durable() && config_.durability.checkpoint_wal_bytes > 0 &&
       wal_->lag_bytes() > config_.durability.checkpoint_wal_bytes &&
       pending_commits_.load(std::memory_order_relaxed) == 0) {
-    return Checkpoint();
+    // A failed checkpoint keeps the WAL; the next one retries.
+    (void)Checkpoint();
   }
-  return Status::OK();
 }
 
 Status AimsSystem::Checkpoint() {
   AIMS_RETURN_NOT_OK(init_status_);
-  if (!durable()) {
-    return Status::FailedPrecondition("Checkpoint: not a durable system");
-  }
   if (pending_commits_.load(std::memory_order_relaxed) != 0) {
     return Status::FailedPrecondition(
         "Checkpoint: an ingest is between its staged phases");
   }
+  if (!durable()) return Status::OK();
   // Order is the recovery contract: pages on stable storage, then the
   // catalog snapshot naming them, and only then may the log forget the
-  // records that produced both.
+  // records that produced both. No ingest is staged, so every dirty page
+  // belongs to a committed ingest whose write-back failed.
+  if (cache_->DirtyBlocks() > 0) AIMS_RETURN_NOT_OK(cache_->FlushDirty());
   AIMS_RETURN_NOT_OK(file_device_->SyncPages());
   AIMS_RETURN_NOT_OK(WriteSnapshot());
   return wal_->Truncate();
@@ -700,36 +696,6 @@ Result<std::vector<storage::tslife::Segment>> AimsSystem::ExportSegments(
   return out;
 }
 
-Status AimsSystem::ReplaceSegments(
-    SessionId id, std::vector<storage::tslife::Segment> segments) {
-  AIMS_RETURN_NOT_OK(init_status_);
-  if (id >= sessions_.size()) {
-    return Status::NotFound("ReplaceSegments: unknown session id");
-  }
-  using Kind = storage::tslife::SegmentOp::Kind;
-  std::vector<storage::tslife::SegmentOp> ops;
-  ops.reserve(sessions_[id].segments.size() + segments.size());
-  // Drops first, then puts: a re-put of a surviving (channel, seq) key
-  // lands after its drop in replay order, so the new payload wins.
-  for (const auto& [key, seg] : sessions_[id].segments.segments()) {
-    (void)seg;
-    storage::tslife::SegmentOp op;
-    op.kind = Kind::kDrop;
-    op.session = id;
-    op.segment.meta.channel = key.first;
-    op.segment.meta.seq = key.second;
-    ops.push_back(std::move(op));
-  }
-  for (storage::tslife::Segment& seg : segments) {
-    storage::tslife::SegmentOp op;
-    op.kind = Kind::kPut;
-    op.session = id;
-    op.segment = std::move(seg);
-    ops.push_back(std::move(op));
-  }
-  return CommitSegmentOps(ops);
-}
-
 Result<storage::tslife::SweepStats> AimsSystem::SweepRetention(
     const storage::tslife::RetentionPolicy& policy, int64_t now_us,
     const std::vector<SessionId>* sessions) {
@@ -874,7 +840,7 @@ Status AimsSystem::CommitSegmentOps(
   if (ops.empty()) return Status::OK();
   if (durable()) {
     // One WAL record group for the whole batch: recovery sees all of a
-    // sweep / migration import or none of it.
+    // sweep or none of it.
     AIMS_ASSIGN_OR_RETURN(uint64_t txn_id, wal_->BeginTxn());
     for (const storage::tslife::SegmentOp& op : ops) {
       AIMS_RETURN_NOT_OK(

@@ -268,54 +268,66 @@ class AimsSystem {
   /// \p trace (optional) gains one "transform" and one "block_write" span
   /// per channel, nesting under whatever span the caller has open — the
   /// storage half of an end-to-end ingest trace.
-  /// On the durable backend this is the sequential convenience form of the
-  /// staged protocol below: the call returns only after the ingest's WAL
-  /// commit is durable and its pages are written back.
+  /// This is the sequential form of the staged protocol below
+  /// (IngestRecordingStaged, WaitDurable, ApplyDurable), on both backends.
   /// \p updates (optional) receives one StandingRangeUpdate per registered
   /// standing query that applies to this session — evaluated from the
   /// in-memory coefficients, no block I/O.
+  /// \p segments (optional) is the migration copy's raw tier: these sealed
+  /// segments are stored verbatim instead of tier-0 segments rebuilt from
+  /// \p recording, and they commit in the ingest's own WAL group.
   Result<SessionId> IngestRecording(
       const std::string& name, const streams::Recording& recording,
       obs::Trace* trace = nullptr,
-      std::vector<StandingRangeUpdate>* updates = nullptr);
+      std::vector<StandingRangeUpdate>* updates = nullptr,
+      const std::vector<storage::tslife::Segment>* segments = nullptr);
 
-  /// \brief One durable ingest in flight between the staged phases.
+  /// \brief One ingest in flight between the staged phases.
   struct StagedIngest {
     SessionId id = 0;
     uint64_t txn_id = 0;
-    /// WAL durability ticket for WaitDurable.
+    /// WAL durability ticket for WaitDurable (0 on the in-memory backend).
     uint64_t ticket = 0;
-    /// Device blocks the ingest staged dirty in the buffer pool.
+    /// Device blocks the ingest wrote (dirty in the buffer pool on the
+    /// durable backend, already on the device in memory).
     std::vector<storage::BlockId> blocks;
   };
 
-  /// \brief Durable backend only — phase 1 of the two-phase ingest:
-  /// transform, stage every block dirty in the buffer pool (no device
-  /// I/O), log the whole ingest as one WAL record group, and append its
-  /// commit record. The session is visible to queries from here on.
-  /// Requires exclusive synchronization, like IngestRecording — but it
-  /// never blocks on a sync, which is the point: the caller releases its
+  /// \brief Phase 1 of the ingest protocol: transform and store every
+  /// block, seal the raw segments, and — on the durable backend — log the
+  /// whole ingest as one WAL record group ending in its commit record.
+  /// Durable blocks stay dirty in the buffer pool (no device I/O); on the
+  /// in-memory backend they are written through and nothing is logged.
+  /// The session is visible to queries from here on. Requires exclusive
+  /// synchronization, but never blocks on a sync: the caller releases its
   /// exclusive lock, then calls WaitDurable, so concurrent ingests can
-  /// share one group-commit fsync.
+  /// share one group-commit fsync. Arguments as for IngestRecording.
   Result<StagedIngest> IngestRecordingStaged(
       const std::string& name, const streams::Recording& recording,
       obs::Trace* trace = nullptr,
-      std::vector<StandingRangeUpdate>* updates = nullptr);
+      std::vector<StandingRangeUpdate>* updates = nullptr,
+      const std::vector<storage::tslife::Segment>* segments = nullptr);
 
-  /// \brief Phase 2: blocks until the staged ingest's commit is on stable
-  /// storage. Safe to call concurrently from many threads (no lock
-  /// needed); one caller leads the shared fsync, the rest ride it.
+  /// \brief Phase 2: blocks until the staged ingest's commit record is on
+  /// stable storage (returns at once in memory). Safe to call concurrently
+  /// from many threads (no lock needed); one caller leads the shared
+  /// fsync, the rest ride it. This is the ingest's failure boundary: once
+  /// it returns OK, recovery replays the commit, so the ingest stands.
   Status WaitDurable(const StagedIngest& staged);
 
   /// \brief Phase 3: writes the staged dirty pages back to the page file
-  /// and may auto-checkpoint. Requires exclusive synchronization. A
-  /// failure here loses nothing — the WAL holds the committed group, and
-  /// reopening replays it.
-  Status ApplyDurable(const StagedIngest& staged);
+  /// and may auto-checkpoint. Requires exclusive synchronization. Cannot
+  /// fail the ingest, which is already durable: a failed write-back leaves
+  /// its pages dirty and pinned for the next Checkpoint, and a failed
+  /// auto-checkpoint keeps the WAL (its lag keeps growing). Finds nothing
+  /// dirty on the in-memory backend.
+  void ApplyDurable(const StagedIngest& staged);
 
-  /// \brief Forces a checkpoint: pages fsync'd, catalog snapshot written
-  /// atomically, WAL truncated. Requires exclusive synchronization and no
-  /// ingest between its staged phases (FailedPrecondition otherwise).
+  /// \brief Forces a checkpoint: every dirty page written back, pages
+  /// fsync'd, catalog snapshot written atomically, WAL truncated. Fails,
+  /// keeping the WAL, when a page cannot be written back. A no-op in
+  /// memory. Requires exclusive synchronization and no ingest between its
+  /// staged phases (FailedPrecondition otherwise).
   Status Checkpoint();
 
   /// \brief WAL counters (zero-valued struct on the in-memory backend).
@@ -353,17 +365,11 @@ class AimsSystem {
   size_t SegmentBytes() const;
 
   /// \brief Copies of one session's sealed segments — the migration
-  /// export (re-building segments from wavelet-reconstructed data would
-  /// not preserve the raw tier bit-exactly).
+  /// export, handed to the target's IngestRecordingStaged (re-building
+  /// segments from wavelet-reconstructed data would not preserve the raw
+  /// tier bit-exactly).
   Result<std::vector<storage::tslife::Segment>> ExportSegments(
       SessionId id) const;
-
-  /// \brief Replaces one session's segments wholesale — the migration
-  /// import. Durable backend: logged as one WAL record group (drops of
-  /// the rebuilt segments, puts of the copied ones) committed before the
-  /// in-memory state changes. Requires exclusive synchronization.
-  Status ReplaceSegments(SessionId id,
-                         std::vector<storage::tslife::Segment> segments);
 
   /// \brief One retention sweep over every session: segments older than
   /// the policy's tiers are downsampled (NMSE-bounded, recorded per
@@ -519,14 +525,16 @@ class AimsSystem {
   };
 
   /// Builds one session's stores (transform + Put through the cache) but
-  /// does not publish it — shared by the in-memory ingest and the durable
-  /// staged ingest. Also seals the raw segments and, when \p updates is
-  /// non-null, evaluates the standing queries against the in-memory
-  /// coefficients.
-  Result<StoredSession> BuildSession(const std::string& name,
-                                     const streams::Recording& recording,
-                                     obs::Trace* trace,
-                                     std::vector<StandingRangeUpdate>* updates);
+  /// does not publish it. Also seals the raw segments (or adopts
+  /// \p segments verbatim) and, when \p updates is non-null, evaluates the
+  /// standing queries against the in-memory coefficients.
+  Result<StoredSession> BuildSession(
+      const std::string& name, const streams::Recording& recording,
+      obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
+      const std::vector<storage::tslife::Segment>* segments);
+  /// Logs a built session as one WAL record group ending in its commit
+  /// record (durable backend); fills the staged txn id and ticket.
+  Status LogIngest(const StoredSession& session, StagedIngest* staged);
   /// Applies one decoded segment op (put/drop) to the session it names.
   Status ApplySegmentOp(const storage::tslife::SegmentOp& op);
   /// Commits \p ops as one WAL record group (durable backend; no-op list

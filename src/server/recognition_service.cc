@@ -7,7 +7,7 @@ namespace aims::server {
 
 RecognitionService::RecognitionService(
     const recognition::Vocabulary* vocabulary,
-    recognition::StreamRecognizerConfig config, MetricsRegistry* metrics)
+    recognition::StreamRecognizerConfig config, obs::MetricsRegistry* metrics)
     : vocabulary_(vocabulary), measure_(/*rank=*/0), config_(config) {
   if (metrics != nullptr) {
     streams_opened_ = metrics->GetCounter("recognition.streams_opened");
@@ -16,7 +16,7 @@ RecognitionService::RecognitionService(
     open_streams_ = metrics->GetGauge("recognition.open_streams");
     frame_latency_ms_ =
         metrics->GetHistogram("recognition.frame_latency_ms",
-                              MetricsRegistry::DefaultLatencyBoundsMs());
+                              obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -38,7 +38,7 @@ Status RecognitionService::OpenStream(ClientId client) {
 
 Result<std::optional<recognition::RecognitionEvent>>
 RecognitionService::PushFrame(ClientId client, const streams::Frame& frame,
-                              Trace* trace) {
+                              obs::Trace* trace) {
   std::shared_ptr<ClientStream> stream;
   {
     std::shared_lock<std::shared_mutex> lock(streams_mutex_);

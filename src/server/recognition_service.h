@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "recognition/isolator.h"
 #include "recognition/similarity.h"
 #include "recognition/vocabulary.h"
-#include "server/metrics.h"
 #include "server/sharded_catalog.h"
-#include "server/tracer.h"
 #include "streams/ring_buffer.h"
 #include "streams/sample.h"
 
@@ -39,7 +39,7 @@ class RecognitionService {
   explicit RecognitionService(
       const recognition::Vocabulary* vocabulary,
       recognition::StreamRecognizerConfig config = {},
-      MetricsRegistry* metrics = nullptr);
+      obs::MetricsRegistry* metrics = nullptr);
 
   /// \brief Starts a live stream for \p client. Fails with
   /// FailedPrecondition when the vocabulary is empty, AlreadyExists when
@@ -53,7 +53,8 @@ class RecognitionService {
   /// (optional) gains a "recognizer_update" span per frame plus a
   /// "classification_event" marker whenever a motion is recognized.
   Result<std::optional<recognition::RecognitionEvent>> PushFrame(
-      ClientId client, const streams::Frame& frame, Trace* trace = nullptr);
+      ClientId client, const streams::Frame& frame,
+      obs::Trace* trace = nullptr);
 
   /// \brief Flushes and closes \p client's stream, returning the final
   /// event if the tail of the stream completed a motion.
@@ -89,11 +90,11 @@ class RecognitionService {
   /// a concurrent CloseStream (the closed stream just becomes detached).
   std::unordered_map<ClientId, std::shared_ptr<ClientStream>> streams_;
 
-  Counter* streams_opened_ = nullptr;
-  Counter* frames_ = nullptr;
-  Counter* events_ = nullptr;
-  Gauge* open_streams_ = nullptr;
-  Histogram* frame_latency_ms_ = nullptr;
+  obs::Counter* streams_opened_ = nullptr;
+  obs::Counter* frames_ = nullptr;
+  obs::Counter* events_ = nullptr;
+  obs::Gauge* open_streams_ = nullptr;
+  obs::Histogram* frame_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

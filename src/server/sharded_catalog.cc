@@ -140,12 +140,13 @@ class ShardedCatalog::IngestGate {
 };
 
 ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
-                               MetricsRegistry* metrics,
+                               obs::MetricsRegistry* metrics,
                                ShardRouterConfig router_config)
     : config_(config),
       router_(std::make_unique<ShardRouter>(num_shards, router_config)) {
   AIMS_CHECK(num_shards >= 1);
-  std::vector<double> lock_bounds = MetricsRegistry::DefaultLatencyBoundsMs();
+  std::vector<double> lock_bounds =
+      obs::MetricsRegistry::DefaultLatencyBoundsMs();
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     // Every shard gets its own durable store (its own page file + WAL)
@@ -170,9 +171,11 @@ ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
     query_count_ = metrics->GetCounter("catalog.query.count");
     blocks_read_ = metrics->GetCounter("catalog.query.blocks_read");
     ingest_latency_ms_ = metrics->GetHistogram(
-        "catalog.ingest.latency_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+        "catalog.ingest.latency_ms",
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
     query_latency_ms_ = metrics->GetHistogram(
-        "catalog.query.latency_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+        "catalog.query.latency_ms",
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
     // Max-over-shards lock-wait p99 in MICROseconds (integer gauges would
     // flatten sub-ms waits to zero in ms) — the StatsReporter's shard-
     // health input.
@@ -254,6 +257,19 @@ auto ShardedCatalog::ReadOnShard(const Shard& shard, Fn&& fn) const {
   return fn(shard.system);
 }
 
+template <typename Fn>
+auto ShardedCatalog::WriteOnShard(Shard& shard, obs::Trace* trace,
+                                  const char* span, Fn&& fn) {
+  ShardOpScope scope(shard.active_ops);
+  size_t lock_span = 0;
+  if (trace != nullptr) lock_span = trace->BeginSpan(span);
+  auto wait_start = std::chrono::steady_clock::now();
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
+  shard.lock_wait_ms.Record(MsSince(wait_start));
+  if (trace != nullptr) trace->EndSpan(lock_span);
+  return fn(shard.system);
+}
+
 // ---- Ingest ---------------------------------------------------------------
 
 Result<GlobalSessionId> ShardedCatalog::Ingest(
@@ -299,89 +315,55 @@ void ShardedCatalog::SetStandingQueries(
 Result<core::SessionId> ShardedCatalog::IngestOnShard(
     Shard& shard, const std::string& name,
     const streams::Recording& recording, obs::Trace* trace,
-    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  // durable() reads a pointer set once at construction — safe lock-free.
-  return shard.system.durable()
-             ? IngestDurable(shard, name, recording, trace, io_stats, updates)
-             : IngestInMemory(shard, name, recording, trace, io_stats, updates);
-}
-
-Result<core::SessionId> ShardedCatalog::IngestInMemory(
-    Shard& shard, const std::string& name,
-    const streams::Recording& recording, obs::Trace* trace,
-    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  ShardOpScope scope(shard.active_ops);
-  size_t lock_span = 0;
-  if (trace != nullptr) lock_span = trace->BeginSpan("shard_lock");
-  auto wait_start = std::chrono::steady_clock::now();
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  shard.lock_wait_ms.Record(MsSince(wait_start));
-  if (trace != nullptr) trace->EndSpan(lock_span);
-  // Writes are serialized by the exclusive lock, so the device's write-
-  // counter delta across this ingest is attributable to it exactly.
-  // io_stats is filled whatever the outcome: a fault mid-ingest has
-  // already performed (and charged) its writes, and the tenant's ledger
-  // must reflect them.
-  const size_t writes_before = shard.system.device().writes();
-  Result<core::SessionId> result =
-      shard.system.IngestRecording(name, recording, trace, updates);
-  if (io_stats != nullptr) {
-    io_stats->blocks_written = shard.system.device().writes() - writes_before;
-    io_stats->bytes_written =
-        io_stats->blocks_written * config_.block_size_bytes;
-  }
-  return result;
-}
-
-Result<core::SessionId> ShardedCatalog::IngestDurable(
-    Shard& shard, const std::string& name,
-    const streams::Recording& recording, obs::Trace* trace,
-    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  if (io_stats != nullptr) *io_stats = IngestIoStats{};
-  ShardOpScope scope(shard.active_ops);
-  core::AimsSystem::StagedIngest staged;
-  {
-    size_t lock_span = 0;
-    if (trace != nullptr) lock_span = trace->BeginSpan("shard_lock");
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    if (trace != nullptr) trace->EndSpan(lock_span);
-    // Failed staging performs no device writes (the dirty pages are
-    // dropped from the buffer pool), so io_stats stays zero on error.
-    AIMS_ASSIGN_OR_RETURN(staged, shard.system.IngestRecordingStaged(
-                                      name, recording, trace, updates));
+    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates,
+    const std::vector<storage::tslife::Segment>* segments) {
+  // I/O attribution: the device write-counter delta across this ingest's
+  // own exclusive sections. Writes are serialized by the exclusive lock,
+  // so each delta is this ingest's alone — including a failed write, a
+  // device access the tenant's ledger must reflect.
+  size_t blocks_written = 0;
+  auto charge = [&] {
+    if (io_stats == nullptr) return;
+    io_stats->blocks_written = blocks_written;
+    io_stats->bytes_written = blocks_written * config_.block_size_bytes;
+  };
+  Result<core::AimsSystem::StagedIngest> staged = WriteOnShard(
+      shard, trace, "shard_lock", [&](core::AimsSystem& sys) {
+        const size_t writes_before = sys.device().writes();
+        Result<core::AimsSystem::StagedIngest> result =
+            sys.IngestRecordingStaged(name, recording, trace, updates,
+                                      segments);
+        blocks_written += sys.device().writes() - writes_before;
+        return result;
+      });
+  if (!staged.ok()) {
+    charge();
+    return staged.status();
   }
   // The sync wait runs with the shard lock RELEASED: concurrent ingests
   // into this shard reach their own WaitDurable and share one group-commit
   // fsync instead of serializing syncs behind the exclusive lock.
   size_t sync_span = 0;
   if (trace != nullptr) sync_span = trace->BeginSpan("wal_sync");
-  Status durable = shard.system.WaitDurable(staged);
+  Status durable = shard.system.WaitDurable(*staged);
   if (trace != nullptr) trace->EndSpan(sync_span);
   // Not durable -> not acknowledged. The WAL's sync error is sticky, so
   // the shard refuses further commits rather than silently degrading.
-  AIMS_RETURN_NOT_OK(durable);
-  {
-    size_t lock_span = 0;
-    if (trace != nullptr) lock_span = trace->BeginSpan("shard_apply_lock");
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    if (trace != nullptr) trace->EndSpan(lock_span);
-    AIMS_RETURN_NOT_OK(shard.system.ApplyDurable(staged));
-    shard.wal_lag.store(shard.system.WalStats().lag_bytes,
-                        std::memory_order_relaxed);
+  if (!durable.ok()) {
+    charge();
+    return durable;
   }
-  // Staged ingests attribute I/O by their own block list, not a counter
-  // delta: another ingest's write-back may run between the two exclusive
-  // sections, and a delta would cross-charge tenants.
-  if (io_stats != nullptr) {
-    io_stats->blocks_written = staged.blocks.size();
-    io_stats->bytes_written = staged.blocks.size() * config_.block_size_bytes;
-  }
+  // From here on the ingest stands: recovery replays its commit record, so
+  // nothing below may fail it.
+  WriteOnShard(shard, trace, "shard_apply_lock", [&](core::AimsSystem& sys) {
+    const size_t writes_before = sys.device().writes();
+    sys.ApplyDurable(*staged);
+    blocks_written += sys.device().writes() - writes_before;
+    shard.wal_lag.store(sys.WalStats().lag_bytes, std::memory_order_relaxed);
+  });
+  charge();
   PublishWalLag();
-  return staged.id;
+  return staged->id;
 }
 
 // ---- Reads (dual-read aware) ----------------------------------------------
@@ -614,34 +596,34 @@ Result<storage::tslife::SweepStats> ShardedCatalog::SweepRetention(
   storage::tslife::SweepStats stats;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
-    ShardOpScope scope(shard.active_ops);
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    std::vector<bool> overridden(shard.system.ListSessions().size(), false);
-    for (const auto& [client, locals] : override_groups[i]) {
-      for (const core::SessionId sid : locals) {
-        if (sid < overridden.size()) overridden[sid] = true;
-      }
-      AIMS_ASSIGN_OR_RETURN(
-          storage::tslife::SweepStats shard_stats,
-          shard.system.SweepRetention(policies.overrides.at(client), now_us,
-                                      &locals));
-      stats.Merge(shard_stats);
-    }
-    std::vector<core::SessionId> rest;
-    rest.reserve(overridden.size());
-    for (core::SessionId sid = 0; sid < overridden.size(); ++sid) {
-      if (!overridden[sid]) rest.push_back(sid);
-    }
-    AIMS_ASSIGN_OR_RETURN(
-        storage::tslife::SweepStats shard_stats,
-        shard.system.SweepRetention(policies.default_policy, now_us, &rest));
-    stats.Merge(shard_stats);
-    if (shard.system.durable()) {
-      shard.wal_lag.store(shard.system.WalStats().lag_bytes,
-                          std::memory_order_relaxed);
-    }
+    Status swept = WriteOnShard(
+        shard, /*trace=*/nullptr, /*span=*/nullptr,
+        [&](core::AimsSystem& sys) -> Status {
+          std::vector<bool> overridden(sys.ListSessions().size(), false);
+          for (const auto& [client, locals] : override_groups[i]) {
+            for (const core::SessionId sid : locals) {
+              if (sid < overridden.size()) overridden[sid] = true;
+            }
+            AIMS_ASSIGN_OR_RETURN(
+                storage::tslife::SweepStats shard_stats,
+                sys.SweepRetention(policies.overrides.at(client), now_us,
+                                   &locals));
+            stats.Merge(shard_stats);
+          }
+          std::vector<core::SessionId> rest;
+          rest.reserve(overridden.size());
+          for (core::SessionId sid = 0; sid < overridden.size(); ++sid) {
+            if (!overridden[sid]) rest.push_back(sid);
+          }
+          AIMS_ASSIGN_OR_RETURN(
+              storage::tslife::SweepStats shard_stats,
+              sys.SweepRetention(policies.default_policy, now_us, &rest));
+          stats.Merge(shard_stats);
+          shard.wal_lag.store(sys.WalStats().lag_bytes,
+                              std::memory_order_relaxed);
+          return Status::OK();
+        });
+    AIMS_RETURN_NOT_OK(swept);
   }
   PublishWalLag();
   return stats;
@@ -767,16 +749,6 @@ Result<ClearCacheResponse> ShardedCatalog::ClearCache(
   return response;
 }
 
-storage::BlockDevice* ShardedCatalog::mutable_shard_device(size_t shard) {
-  AIMS_CHECK(shard < shards_.size());
-  return shards_[shard]->system.mutable_device();
-}
-
-storage::BlockCache* ShardedCatalog::mutable_shard_cache(size_t shard) {
-  AIMS_CHECK(shard < shards_.size());
-  return shards_[shard]->system.mutable_block_cache();
-}
-
 // ---- Live migration --------------------------------------------------------
 
 Result<std::vector<GlobalSessionId>> ShardedCatalog::BeginTenantMigration(
@@ -823,45 +795,31 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
   }
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
   if (route.shard == target_shard) return Status::OK();
-  // 1. Materialize the source copy under the source's SHARED lock —
-  //    concurrent queries keep running against it throughout.
-  Shard& source = *shards_[route.shard];
+  // 1. Export the source copy — samples and sealed raw segments — under
+  //    the source's SHARED lock: concurrent queries keep running.
   std::string name;
+  std::vector<storage::tslife::Segment> segments;
   Result<streams::Recording> materialized = ReadOnShard(
-      source, [&](const core::AimsSystem& sys) -> Result<streams::Recording> {
+      *shards_[route.shard],
+      [&](const core::AimsSystem& sys) -> Result<streams::Recording> {
         AIMS_ASSIGN_OR_RETURN(core::SessionInfo info,
                               sys.GetSession(route.local));
         name = info.name;
+        AIMS_ASSIGN_OR_RETURN(segments, sys.ExportSegments(route.local));
         return sys.MaterializeSession(route.local);
       });
   AIMS_RETURN_NOT_OK(materialized.status());
-  // 2. Ingest the copy into the target. On the durable backend this is the
-  //    full staged WAL protocol: the copy is on stable storage before we
-  //    proceed. No catalog metrics, no tenant attribution — migration is an
+  // 2. Ingest the copy into the target through the ingest protocol: the
+  //    copy and its segments — verbatim, since the source may hold
+  //    downsampled tiers and the raw tier must stay bit-exact across
+  //    moves — commit as one group and are durable before we proceed. No
+  //    catalog metrics, no tenant attribution: migration is an
   //    infrastructure move, not tenant activity.
   AIMS_ASSIGN_OR_RETURN(
       core::SessionId target_local,
       IngestOnShard(*shards_[target_shard], name, *materialized,
-                    /*trace=*/nullptr, /*io_stats=*/nullptr));
-  // 2b. Carry the sealed raw segments over verbatim. The target's ingest
-  //     rebuilt tier-0 segments from the materialized samples, but the
-  //     source may hold downsampled tiers (tier/decimation/NMSE metadata)
-  //     and the raw tier must stay bit-exact across moves — so the copied
-  //     segments replace the rebuilt ones wholesale.
-  Result<std::vector<storage::tslife::Segment>> segments = ReadOnShard(
-      source, [&](const core::AimsSystem& sys) {
-        return sys.ExportSegments(route.local);
-      });
-  AIMS_RETURN_NOT_OK(segments.status());
-  {
-    Shard& target = *shards_[target_shard];
-    ShardOpScope scope(target.active_ops);
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(target.mutex);
-    target.lock_wait_ms.Record(MsSince(wait_start));
-    AIMS_RETURN_NOT_OK(
-        target.system.ReplaceSegments(target_local, std::move(*segments)));
-  }
+                    /*trace=*/nullptr, /*io_stats=*/nullptr,
+                    /*updates=*/nullptr, &segments));
   // 3. Journal the owner flip. Once this record is durable, recovery
   //    resolves the session to the target — and only then does the live
   //    route flip, so crash-before and crash-after both leave exactly one

@@ -14,10 +14,10 @@
 
 #include "core/aims.h"
 #include "obs/cache_stats.h"
+#include "obs/metrics.h"
 #include "obs/shard_stats.h"
 #include "obs/tracer.h"
 #include "obs/wal_stats.h"
-#include "server/metrics.h"
 #include "server/shard_router.h"
 #include "storage/wal.h"
 
@@ -103,7 +103,7 @@ class ShardedCatalog {
   /// operation counters (may be null).
   /// \param router_config consistent-hash ring tuning.
   explicit ShardedCatalog(size_t num_shards, core::AimsConfig config = {},
-                          MetricsRegistry* metrics = nullptr,
+                          obs::MetricsRegistry* metrics = nullptr,
                           ShardRouterConfig router_config = {});
   ~ShardedCatalog();
 
@@ -127,29 +127,28 @@ class ShardedCatalog {
 
   // ---- Write path (exclusive lock on one shard) -------------------------
 
-  /// \brief Device I/O one ingest performed, measured under the shard's
-  /// exclusive lock (writes are serialized per shard, so the counter delta
-  /// is exactly this ingest's) — the cost-attribution input for charging
-  /// the acting tenant's CostLedger.
+  /// \brief Device I/O one ingest performed: the device write-counter
+  /// delta across the ingest's own exclusive sections (staging and its
+  /// own write-back), failed writes included. Writes are serialized per
+  /// shard, so each delta is exactly this ingest's — the cost-attribution
+  /// input for charging the acting tenant's CostLedger.
   struct IngestIoStats {
     size_t blocks_written = 0;
     size_t bytes_written = 0;
   };
 
   /// \brief Ingests a recording into the shard the router places \p client
-  /// on. \p trace (optional) gains a "shard_lock" span covering the
-  /// exclusive-lock wait plus the per-channel transform/write spans
-  /// recorded by the system. \p io_stats (optional) receives the ingest's
-  /// exact block-write I/O — filled even when the ingest fails partway, so
-  /// a write fault's device I/O still reaches the tenant's cost ledger.
-  ///
-  /// On the durable backend this runs the staged protocol: stage + WAL
-  /// append under the exclusive lock, wait for the commit sync with the
-  /// lock released (trace span "wal_sync") so concurrent ingests share one
-  /// group-commit fsync, then re-lock ("shard_apply_lock") for page
-  /// write-back. The ingest is acknowledged only after its commit record —
-  /// AND its route-journal entry — are on stable storage, which is what
-  /// makes "acknowledged" imply "survives a crash with its route intact".
+  /// on, through the staged protocol on both backends: stage (and, when
+  /// durable, WAL-append) under the exclusive lock (trace span
+  /// "shard_lock"), wait for the commit sync with the lock released
+  /// ("wal_sync") so concurrent ingests share one group-commit fsync, then
+  /// re-lock ("shard_apply_lock") for page write-back. The commit record is
+  /// the failure boundary: the ingest is acknowledged once its commit
+  /// record AND its route-journal entry are on stable storage, which is
+  /// what makes "acknowledged" imply "survives a crash with its route
+  /// intact"; a failed write-back after that does not fail it. \p io_stats
+  /// (optional) is filled even when the ingest fails, so a write fault's
+  /// device I/O still reaches the tenant's cost ledger.
   Result<GlobalSessionId> Ingest(ClientId client, const std::string& name,
                                  const streams::Recording& recording,
                                  obs::Trace* trace = nullptr,
@@ -293,11 +292,13 @@ class ShardedCatalog {
 
   /// \brief Copies one session to \p target_shard and flips its route into
   /// the dual-read window (primary = target, fallback = source). The copy
-  /// is materialized under the source's *shared* lock — concurrent queries
-  /// keep running — and the owner flip is journaled only after the target
-  /// copy is durable, so a crash leaves exactly one owner. The copy
-  /// bypasses catalog metrics and carries no tenant attribution: migration
-  /// is an infrastructure move, not tenant activity.
+  /// and its sealed raw segments are exported under the source's *shared*
+  /// lock — concurrent queries keep running — and ingested on the target
+  /// as one commit group (the segments verbatim, not rebuilt). The owner
+  /// flip is journaled only after the target copy is durable, so a crash
+  /// leaves exactly one owner. The copy bypasses catalog metrics and
+  /// carries no tenant attribution: migration is an infrastructure move,
+  /// not tenant activity.
   Status MigrateSession(GlobalSessionId id, size_t target_shard);
 
   /// \brief Ends the dual-read window for every session of \p client
@@ -310,16 +311,6 @@ class ShardedCatalog {
   /// closed, and the pin is dropped so future ingests fall back to the
   /// ring.
   void AbortTenantMigration(ClientId client);
-
-  // ---- Deprecated raw accessors (one-PR shim) ----------------------------
-
-  /// \deprecated Use ApplyFault — the typed admin surface. Kept one PR so
-  /// out-of-tree callers can migrate; will be removed.
-  storage::BlockDevice* mutable_shard_device(size_t shard);
-
-  /// \deprecated Use ClearCache — the typed admin surface. Kept one PR so
-  /// out-of-tree callers can migrate; will be removed.
-  storage::BlockCache* mutable_shard_cache(size_t shard);
 
  private:
   struct Shard {
@@ -366,30 +357,24 @@ class ShardedCatalog {
   template <typename Fn>
   auto ReadOnShard(const Shard& shard, Fn&& fn) const;
 
-  /// In-memory ingest: one exclusive-lock section, I/O attributed by the
-  /// device write-counter delta. \p updates (optional, threaded through to
-  /// the system) receives the standing-query results of the new session.
-  Result<core::SessionId> IngestInMemory(
-      Shard& shard, const std::string& name,
-      const streams::Recording& recording, obs::Trace* trace,
-      IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates);
-  /// Durable ingest via the staged protocol: stage + WAL-append under the
-  /// exclusive lock, wait for the (group-)commit sync with the lock
-  /// released, then re-lock to write the pages back — concurrent ingests
-  /// into the same shard share one fsync instead of serializing syncs.
-  Result<core::SessionId> IngestDurable(
-      Shard& shard, const std::string& name,
-      const streams::Recording& recording, obs::Trace* trace,
-      IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates);
-  /// Shard-level ingest dispatch (no routing, no metrics) — the normal
-  /// ingest path and the migrator's copy step share it. The migrator
-  /// passes a null \p updates: a migration copy is not tenant activity and
-  /// must not fire the continuous-aggregate hook.
+  /// Runs \p fn under \p shard's exclusive lock with lock-wait timing and
+  /// queue-depth accounting; \p trace (optional) gains a \p span span
+  /// covering the lock wait.
+  template <typename Fn>
+  auto WriteOnShard(Shard& shard, obs::Trace* trace, const char* span,
+                    Fn&& fn);
+
+  /// Shard-level ingest through the staged protocol (no routing, no
+  /// metrics) — the normal ingest path and the migrator's copy step share
+  /// it. \p updates (optional) receives the standing-query results of the
+  /// new session; the migrator passes null, since a migration copy is not
+  /// tenant activity and must not fire the continuous-aggregate hook. It
+  /// passes the source's sealed \p segments instead, to be stored verbatim.
   Result<core::SessionId> IngestOnShard(
       Shard& shard, const std::string& name,
       const streams::Recording& recording, obs::Trace* trace,
-      IngestIoStats* io_stats,
-      std::vector<core::StandingRangeUpdate>* updates = nullptr);
+      IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates,
+      const std::vector<storage::tslife::Segment>* segments = nullptr);
 
   /// Re-publishes the catalog-wide WAL-lag gauge from the per-shard
   /// atomics (no-op without a metrics registry or on the mem backend).
@@ -442,13 +427,13 @@ class ShardedCatalog {
   /// Continuous-aggregate commit hook (set before traffic; may be empty).
   IngestCommitHook ingest_hook_;
 
-  Counter* ingest_count_ = nullptr;
-  Counter* query_count_ = nullptr;
-  Counter* blocks_read_ = nullptr;
-  Gauge* wal_lag_gauge_ = nullptr;
-  Gauge* shard_lock_p99_gauge_ = nullptr;
-  Histogram* ingest_latency_ms_ = nullptr;
-  Histogram* query_latency_ms_ = nullptr;
+  obs::Counter* ingest_count_ = nullptr;
+  obs::Counter* query_count_ = nullptr;
+  obs::Counter* blocks_read_ = nullptr;
+  obs::Gauge* wal_lag_gauge_ = nullptr;
+  obs::Gauge* shard_lock_p99_gauge_ = nullptr;
+  obs::Histogram* ingest_latency_ms_ = nullptr;
+  obs::Histogram* query_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -128,6 +128,17 @@ Status BlockCache::FlushBlocks(const std::vector<BlockId>& ids) {
   return Status::OK();
 }
 
+Status BlockCache::FlushDirty() {
+  std::vector<BlockId> ids;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const Entry& entry : shard.lru) {
+      if (entry.dirty) ids.push_back(entry.id);
+    }
+  }
+  return FlushBlocks(ids);
+}
+
 void BlockCache::DropDirty(const std::vector<BlockId>& ids) {
   for (BlockId id : ids) {
     Shard& shard = ShardFor(id);

@@ -97,6 +97,12 @@ class BlockCache {
   /// the remaining entries dirty (the WAL still has them).
   Status FlushBlocks(const std::vector<BlockId>& ids);
 
+  /// \brief Writes back every dirty entry — the checkpoint's step, legal
+  /// only when no transaction is staged (every dirty page is then a
+  /// committed one whose own write-back failed). Same contract as
+  /// FlushBlocks otherwise.
+  Status FlushDirty();
+
   /// \brief Drops the listed blocks' dirty entries without writing them —
   /// the rollback of a failed staging. Clean entries are untouched.
   void DropDirty(const std::vector<BlockId>& ids);

@@ -2,10 +2,27 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "common/macros.h"
 
 namespace aims::storage {
+
+namespace {
+
+/// A block shorter than its coefficient slots (a never-written page reads
+/// back empty) is a storage fault, not data.
+Status CheckPayload(const std::vector<uint8_t>& payload, size_t slots) {
+  if (payload.size() < slots * sizeof(double)) {
+    return Status::IoError("WaveletStore: block payload of " +
+                           std::to_string(payload.size()) +
+                           " bytes is short of " + std::to_string(slots) +
+                           " coefficients");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 WaveletStore::WaveletStore(BlockDevice* device,
                            std::unique_ptr<CoefficientAllocator> allocator,
@@ -78,6 +95,7 @@ Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
   for (size_t b : blocks) {
     AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                           ReadBlock(device_blocks_[b]));
+    AIMS_RETURN_NOT_OK(CheckPayload(payload, block_contents_[b].size()));
     for (size_t slot = 0; slot < block_contents_[b].size(); ++slot) {
       size_t idx = block_contents_[b][slot];
       if (wanted.count(idx)) {
@@ -115,8 +133,9 @@ Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
   }
   AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                         ReadBlock(device_blocks_[logical_block], cache_hit));
-  std::vector<std::pair<size_t, double>> out;
   const std::vector<size_t>& contents = block_contents_[logical_block];
+  AIMS_RETURN_NOT_OK(CheckPayload(payload, contents.size()));
+  std::vector<std::pair<size_t, double>> out;
   out.reserve(contents.size());
   for (size_t slot = 0; slot < contents.size(); ++slot) {
     double v = 0.0;

@@ -15,11 +15,18 @@
 //          segment    die mid-group, after the first sealed raw-sample
 //                     segment record append (the tslife leg of the same
 //                     commit group)
+//          writeback  arm one page-write fault, so one more ingest commits
+//                     (and is acked) while its write-back fails; force a
+//                     checkpoint, which must write those pages back before
+//                     it drops the WAL; then die like postcommit
 //          verify     no ingest: recover, check every acked session is
-//                     present AND its raw segments decode bit-exact
-//                     against the regenerated recording, print recovery
-//                     stats as one JSON line (exit 6 if an acknowledged
-//                     ingest is missing or its raw samples drifted)
+//                     present exactly once, answers a range query
+//                     bit-identically to an in-memory reference ingest, and
+//                     has raw segments that decode bit-exact against the
+//                     regenerated recording; check every other session was
+//                     in flight at a kill (nothing else adopted); print
+//                     recovery stats as one JSON line (exit 6 on any
+//                     violation)
 //
 // Migration modes (2-shard durable ShardedCatalog on the same <dir>,
 // exercising the routing journal's exactly-one-owner recovery):
@@ -37,12 +44,15 @@
 // Re-running on the same directory continues: the ingest seed is the
 // recovered session count, so every session ever committed is
 // SessionName(0..n-1) in order — which is exactly what the parent checks.
+// Crash modes append the name of the ingest they kill to <dir>/inflight.txt
+// first: such an ingest may or may not be recovered, and nothing else may.
 
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -170,6 +180,118 @@ int RunMigrationVerify(const std::string& dir) {
   return 0;
 }
 
+std::set<std::string> ReadNames(const std::string& path) {
+  std::set<std::string> names;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) names.insert(line);
+  }
+  return names;
+}
+
+// Ingest-mode verify: every acked ingest is present exactly once, with a
+// bit-identical range answer and bit-exact raw segments; every other
+// session is one a crash round killed in flight.
+int RunVerify(const std::string& dir, const aims::core::AimsSystem& system) {
+  const auto sessions = system.ListSessions();
+  const std::set<std::string> acks = ReadNames(dir + "/acks.txt");
+  const std::set<std::string> inflight = ReadNames(dir + "/inflight.txt");
+  std::map<std::string, size_t> copies;
+  size_t adopted = 0;
+  for (const auto& session : sessions) {
+    ++copies[session.name];
+    if (acks.count(session.name) == 0 && inflight.count(session.name) == 0) {
+      ++adopted;
+      std::cerr << "session " << session.name
+                << " was neither acked nor in flight\n";
+    }
+  }
+  // Reference answers: the same recordings through the in-memory backend
+  // run the same transform code, so recovered answers must match bit for
+  // bit.
+  aims::core::AimsSystem reference;
+  size_t missing = 0;
+  size_t duplicated = 0;
+  size_t answer_mismatches = 0;
+  size_t segments = 0;
+  size_t raw_mismatches = 0;
+  for (const std::string& ack : acks) {
+    if (copies[ack] != 1) {
+      ++(copies[ack] == 0 ? missing : duplicated);
+      std::cerr << "acknowledged ingest " << ack << " present "
+                << copies[ack] << " times\n";
+      continue;
+    }
+    aims::core::SessionId found = 0;
+    for (const auto& session : sessions) {
+      if (session.name == ack) found = session.id;
+    }
+    // An acked ingest's commit group included its sealed raw-sample
+    // segments, so recovery must hand them back bit-exact — a crash
+    // landing between the segment append and the commit record (the
+    // `segment` mode) must never surface a half-sealed channel.
+    const uint32_t seed =
+        static_cast<uint32_t>(std::atoi(ack.c_str() + ack.rfind('_') + 1));
+    const aims::streams::Recording expect =
+        aims::crashtest::MakeRecording(seed);
+    auto ref_id = reference.IngestRecording(ack, expect);
+    if (!ref_id.ok()) {
+      std::cerr << "reference ingest failed: " << ref_id.status().ToString()
+                << "\n";
+      return 3;
+    }
+    auto metas = system.ListSegments(found);
+    if (metas.ok()) segments += metas.ValueOrDie().size();
+    for (size_t c = 0; c < expect.num_channels(); ++c) {
+      const size_t last = expect.num_frames() - 10;
+      auto got = system.QueryRange(found, c, 5, last);
+      auto want = reference.QueryRange(*ref_id, c, 5, last);
+      if (!got.ok() || !want.ok() || got->sum != want->sum) {
+        ++answer_mismatches;
+        std::cerr << "session " << ack << " channel " << c
+                  << " answers differently after recovery\n";
+      }
+      auto samples = system.ReadRawSamples(found, c);
+      if (!samples.ok() ||
+          samples.ValueOrDie().size() != expect.num_frames()) {
+        ++raw_mismatches;
+        std::cerr << "session " << ack << " channel " << c
+                  << " raw segments incomplete\n";
+        continue;
+      }
+      for (size_t f = 0; f < expect.num_frames(); ++f) {
+        const auto& sample = samples.ValueOrDie()[f];
+        const auto& frame = expect.frames[f];
+        if (sample.t_ms !=
+                static_cast<int64_t>(std::llround(frame.timestamp * 1e6)) ||
+            sample.value != frame.values[c]) {
+          ++raw_mismatches;
+          std::cerr << "session " << ack << " channel " << c
+                    << " raw sample " << f << " drifted\n";
+          break;
+        }
+      }
+    }
+  }
+  const aims::obs::WalStats stats = system.WalStats();
+  std::cout << "{\"sessions\": " << sessions.size()
+            << ", \"acked\": " << acks.size()
+            << ", \"acked_missing\": " << missing
+            << ", \"acked_duplicated\": " << duplicated
+            << ", \"adopted\": " << adopted
+            << ", \"answer_mismatches\": " << answer_mismatches
+            << ", \"segments\": " << segments
+            << ", \"raw_mismatches\": " << raw_mismatches
+            << ", \"recovered_txns\": " << stats.recovered_txns
+            << ", \"recovered_records\": " << stats.recovered_records
+            << ", \"discarded_bytes\": " << stats.discarded_bytes
+            << ", \"checkpoints\": " << stats.checkpoints << "}\n";
+  const bool ok = missing == 0 && duplicated == 0 && adopted == 0 &&
+                  answer_mismatches == 0 && raw_mismatches == 0;
+  return ok ? 0 : 6;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,70 +314,7 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  if (mode == "verify") {
-    auto sessions = system.ListSessions();
-    size_t acked = 0;
-    size_t missing = 0;
-    size_t segments = 0;
-    size_t raw_mismatches = 0;
-    std::ifstream acks_in(dir + "/acks.txt");
-    std::string ack;
-    while (std::getline(acks_in, ack)) {
-      if (ack.empty()) continue;
-      ++acked;
-      const aims::core::SessionInfo* found = nullptr;
-      for (const auto& session : sessions) {
-        if (session.name == ack) found = &session;
-      }
-      if (found == nullptr) {
-        ++missing;
-        std::cerr << "acknowledged ingest " << ack << " lost\n";
-        continue;
-      }
-      // An acked ingest's commit group included its sealed raw-sample
-      // segments, so recovery must hand them back bit-exact — a crash
-      // landing between the segment append and the commit record (the
-      // `segment` mode) must never surface a half-sealed channel.
-      const uint32_t seed =
-          static_cast<uint32_t>(std::atoi(ack.c_str() + ack.rfind('_') + 1));
-      const aims::streams::Recording expect = aims::crashtest::MakeRecording(seed);
-      auto metas = system.ListSegments(found->id);
-      if (metas.ok()) segments += metas.ValueOrDie().size();
-      for (size_t c = 0; c < expect.num_channels(); ++c) {
-        auto samples = system.ReadRawSamples(found->id, c);
-        if (!samples.ok() ||
-            samples.ValueOrDie().size() != expect.num_frames()) {
-          ++raw_mismatches;
-          std::cerr << "session " << ack << " channel " << c
-                    << " raw segments incomplete\n";
-          continue;
-        }
-        for (size_t f = 0; f < expect.num_frames(); ++f) {
-          const auto& sample = samples.ValueOrDie()[f];
-          const auto& frame = expect.frames[f];
-          if (sample.t_ms !=
-                  static_cast<int64_t>(std::llround(frame.timestamp * 1e6)) ||
-              sample.value != frame.values[c]) {
-            ++raw_mismatches;
-            std::cerr << "session " << ack << " channel " << c
-                      << " raw sample " << f << " drifted\n";
-            break;
-          }
-        }
-      }
-    }
-    const aims::obs::WalStats stats = system.WalStats();
-    std::cout << "{\"sessions\": " << sessions.size()
-              << ", \"acked\": " << acked
-              << ", \"acked_missing\": " << missing
-              << ", \"segments\": " << segments
-              << ", \"raw_mismatches\": " << raw_mismatches
-              << ", \"recovered_txns\": " << stats.recovered_txns
-              << ", \"recovered_records\": " << stats.recovered_records
-              << ", \"discarded_bytes\": " << stats.discarded_bytes
-              << ", \"checkpoints\": " << stats.checkpoints << "}\n";
-    return (missing == 0 && raw_mismatches == 0) ? 0 : 6;
-  }
+  if (mode == "verify") return RunVerify(dir, system);
 
   std::ofstream acks(dir + "/acks.txt", std::ios::app);
   if (!acks) {
@@ -279,7 +338,26 @@ int main(int argc, char** argv) {
 
   if (mode == "clean") return 0;
   StartCrashRecorder(dir, mode);
-  if (mode == "payload") {
+  if (mode == "writeback") {
+    // The commit record is the failure boundary: the ingest stands with
+    // its pages dirty, and the checkpoint must write them back before it
+    // may truncate the WAL that holds them.
+    system.mutable_device()->FailNextWrites(1);
+    auto id = system.IngestRecording(aims::crashtest::SessionName(seed),
+                                     aims::crashtest::MakeRecording(seed));
+    if (!id.ok()) {
+      std::cerr << "ingest failed: " << id.status().ToString() << "\n";
+      return 4;
+    }
+    acks << aims::crashtest::SessionName(seed) << "\n" << std::flush;
+    ++seed;
+    aims::Status checkpointed = system.Checkpoint();
+    if (!checkpointed.ok()) {
+      std::cerr << "checkpoint failed: " << checkpointed.ToString() << "\n";
+      return 4;
+    }
+    aims::storage::durable::testing::SetCrashAfterCommitDurable(true);
+  } else if (mode == "payload") {
     aims::storage::durable::testing::SetCrashAfterPayloadAppends(1);
   } else if (mode == "precommit") {
     aims::storage::durable::testing::SetCrashBeforeCommitAppend(true);
@@ -292,6 +370,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::ofstream(dir + "/inflight.txt", std::ios::app)
+      << aims::crashtest::SessionName(seed) << "\n" << std::flush;
   // The armed hook raises SIGKILL inside this call; it must not return.
   auto id = system.IngestRecording(aims::crashtest::SessionName(seed),
                                    aims::crashtest::MakeRecording(seed));

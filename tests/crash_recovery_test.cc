@@ -163,6 +163,20 @@ TEST(CrashRecovery, KilledAfterCommitDurableReplaysTheFullIngest) {
   VerifyRecovered(dir, 3u, acks);
 }
 
+TEST(CrashRecovery, FailedWriteBackAckedIngestSurvivesCheckpointAndKill) {
+  std::string dir = TestDir("writeback");
+  int status = RunHelper(dir, "writeback", 1);
+  ExpectKilledBySigkill(status);
+  std::vector<std::string> acks = ReadAcks(dir);
+  // The clean ingest and the one whose write-back failed are both acked;
+  // the killed ingest committed without an ack.
+  ASSERT_EQ(acks.size(), 2u);
+  VerifyRecovered(dir, 3u, acks);
+  status = RunHelper(dir, "verify", 0);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "verify status " << status;
+}
+
 TEST(CrashRecovery, SurvivesRepeatedKillsOnOneStore) {
   // The kill-loop: the same store crashes again and again, recovering each
   // time with all prior committed work intact.

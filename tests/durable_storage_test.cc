@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -495,6 +496,67 @@ TEST(DurableSystem, AutoCheckpointByWalLag) {
   EXPECT_EQ(system.WalStats().lag_bytes, 0u);
 }
 
+// The commit record is the ingest's failure boundary: a write-back fault
+// after it leaves the pages dirty and pinned, and the ingest stands.
+TEST(DurableSystem, CheckpointWritesBackFailedPagesFirst) {
+  std::string dir = TestDir("sys_writeback_fault");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  config.durability.checkpoint_wal_bytes = 0;  // No auto-checkpoints.
+  double sum = 0.0;
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.init_status().ok());
+    system.mutable_device()->FailNextWrites(1);
+    auto id = system.IngestRecording("wb", MakeRecording(200, 1, 5));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_GT(system.block_cache()->DirtyBlocks(), 0u);
+    sum = system.QueryRange(id.ValueOrDie(), 0, 10, 180).ValueOrDie().sum;
+    ASSERT_TRUE(system.Checkpoint().ok());
+    EXPECT_EQ(system.block_cache()->DirtyBlocks(), 0u);
+    EXPECT_EQ(system.WalStats().lag_bytes, 0u);
+  }
+  // Nothing is replayed: the pages reached the page file before the
+  // checkpoint let the log drop the records that held them.
+  core::AimsSystem reopened(config);
+  ASSERT_TRUE(reopened.init_status().ok());
+  EXPECT_EQ(reopened.WalStats().recovered_txns, 0u);
+  ASSERT_EQ(reopened.ListSessions().size(), 1u);
+  auto after = reopened.QueryRange(0, 0, 10, 180);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->sum, sum);
+}
+
+TEST(DurableSystem, FailedCheckpointKeepsTheWal) {
+  std::string dir = TestDir("sys_checkpoint_fault");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  config.durability.checkpoint_wal_bytes = 0;  // No auto-checkpoints.
+  double sum = 0.0;
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.init_status().ok());
+    system.mutable_device()->FailNextWrites(1);
+    auto id = system.IngestRecording("wb", MakeRecording(200, 1, 6));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    sum = system.QueryRange(id.ValueOrDie(), 0, 10, 180).ValueOrDie().sum;
+    const uint64_t lag = system.WalStats().lag_bytes;
+    ASSERT_GT(lag, 0u);
+    system.mutable_device()->FailNextWrites(1);
+    EXPECT_EQ(system.Checkpoint().code(), StatusCode::kIoError);
+    EXPECT_GT(system.block_cache()->DirtyBlocks(), 0u);
+    EXPECT_EQ(system.WalStats().lag_bytes, lag);
+  }
+  // The kept WAL recovers the session on reopen.
+  core::AimsSystem reopened(config);
+  ASSERT_TRUE(reopened.init_status().ok());
+  EXPECT_EQ(reopened.WalStats().recovered_txns, 1u);
+  ASSERT_EQ(reopened.ListSessions().size(), 1u);
+  auto after = reopened.QueryRange(0, 0, 10, 180);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->sum, sum);
+}
+
 TEST(DurableSystem, AnalyzeReconciliationHoldsOnFileBackend) {
   std::string dir = TestDir("sys_analyze");
   core::AimsConfig config;
@@ -600,6 +662,58 @@ TEST(DurableCatalog, IngestIoStatsCountStagedBlocks) {
   EXPECT_EQ(io.blocks_written, catalog.total_blocks_written());
 }
 
+// Regression: a write-back fault after the commit record used to fail the
+// ingest while its session stayed committed. The retry stored a second
+// copy, the failed write was charged to nobody, and the next checkpoint
+// dropped the WAL records of the still-dirty pages, so after reopen the
+// first copy came back as a lost-and-found session with unwritten pages.
+TEST(DurableServer, WriteBackFaultAcksOnceAndSurvivesCheckpoint) {
+  std::string dir = TestDir("server_writeback_fault");
+  server::ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 2;
+  config.system.durability.path = dir;
+  config.system.durability.checkpoint_wal_bytes = 1;  // Checkpoint each ingest.
+  config.admission.max_attempts = 3;
+  server::GlobalSessionId id = 0;
+  double sum = 0.0;
+  {
+    server::AimsServer server(config);
+    ASSERT_TRUE(server.OpenSession({1}).ok());
+    const size_t writes_before = server.catalog().total_blocks_written();
+    server::AdminFaultRequest fault;
+    fault.fail_next_writes = 1;
+    ASSERT_TRUE(server.AdminFault(fault).ok());
+    auto ingest = server.IngestRecording({1, "wb", MakeRecording(300, 2, 7)});
+    ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+    id = ingest->session;
+    EXPECT_EQ(server.metrics().GetCounter("ingest.retries")->value(), 0u);
+    EXPECT_EQ(server.catalog().total_sessions(), 1u);
+    // Every device write, the failed one included, is the tenant's.
+    auto usage = server.GetTenantUsage({1});
+    ASSERT_TRUE(usage.ok());
+    const size_t device_delta =
+        server.catalog().total_blocks_written() - writes_before;
+    EXPECT_GT(device_delta, 1u);
+    EXPECT_EQ(usage->total.blocks_written, device_delta);
+    // The auto-checkpoint wrote the dirty pages back and emptied the log.
+    EXPECT_EQ(server.catalog().TotalWalStats().lag_bytes, 0u);
+    auto answer = server.catalog().QueryRange(id, 1, 10, 250);
+    ASSERT_TRUE(answer.ok());
+    sum = answer->sum;
+    server.Shutdown();
+  }
+  server::ShardedCatalog reopened(1, config.system);
+  ASSERT_TRUE(reopened.init_status().ok());
+  auto sessions = reopened.ListSessions();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].id, id);
+  EXPECT_EQ(sessions[0].client, 1u) << "no lost-and-found adoption";
+  auto after = reopened.QueryRange(id, 1, 10, 250);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->sum, sum);
+}
+
 TEST(DurableServer, GetHealthCarriesWalStats) {
   std::string dir = TestDir("server_health");
   server::ServerConfig config;
@@ -612,6 +726,127 @@ TEST(DurableServer, GetHealthCarriesWalStats) {
   EXPECT_GE(health.ValueOrDie().wal.checkpoints, 2u);
   server.Shutdown();
 }
+
+// ---- One ingest path on both backends ----------------------------------
+
+/// Runs each case on the in-memory backend (false) and the durable one
+/// (true): both go through the same staged ingest protocol.
+class OneIngestPath : public ::testing::TestWithParam<bool> {
+ protected:
+  core::AimsConfig Config(const std::string& name) const {
+    core::AimsConfig config;
+    if (GetParam()) config.durability.path = TestDir(name);
+    return config;
+  }
+};
+
+TEST_P(OneIngestPath, IoStatsEqualDeviceWriteDelta) {
+  core::AimsConfig config = Config("path_io");
+  server::ShardedCatalog catalog(1, config);
+  ASSERT_TRUE(catalog.init_status().ok());
+  server::ShardedCatalog::IngestIoStats io;
+  size_t before = catalog.total_blocks_written();
+  ASSERT_TRUE(
+      catalog.Ingest(1, "ok", MakeRecording(300, 2, 1), nullptr, &io).ok());
+  EXPECT_GT(io.blocks_written, 0u);
+  EXPECT_EQ(io.blocks_written, catalog.total_blocks_written() - before);
+  EXPECT_EQ(io.bytes_written, io.blocks_written * config.block_size_bytes);
+
+  // In memory the fault hits a staging write, before any commit, so the
+  // ingest fails; on disk it hits the write-back after the commit record,
+  // so the ingest stands. Either way the failed write is charged.
+  server::AdminFaultRequest fault;
+  fault.fail_next_writes = 1;
+  ASSERT_TRUE(catalog.ApplyFault(fault).ok());
+  before = catalog.total_blocks_written();
+  auto faulted =
+      catalog.Ingest(1, "fault", MakeRecording(300, 2, 2), nullptr, &io);
+  EXPECT_EQ(faulted.ok(), GetParam());
+  EXPECT_GT(io.blocks_written, 0u);
+  EXPECT_EQ(io.blocks_written, catalog.total_blocks_written() - before);
+  EXPECT_EQ(io.bytes_written, io.blocks_written * config.block_size_bytes);
+}
+
+TEST_P(OneIngestPath, AggregateUpdatesDeliveredExactlyOnce) {
+  server::ShardedCatalog catalog(2, Config("path_agg"));
+  ASSERT_TRUE(catalog.init_status().ok());
+  std::map<server::GlobalSessionId, size_t> delivered;
+  catalog.SetIngestCommitHook(
+      [&](server::GlobalSessionId id, server::ClientId,
+          const std::vector<core::StandingRangeUpdate>& updates) {
+        delivered[id] += updates.size();
+      });
+  core::StandingRangeQuery query;
+  query.handle = 1;
+  query.channel = 0;
+  query.first_frame = 5;
+  query.last_frame = 90;
+  catalog.SetStandingQueries({query});
+  std::vector<server::GlobalSessionId> ids;
+  for (uint32_t seed = 0; seed < 3; ++seed) {
+    auto id = catalog.Ingest(7, "s", MakeRecording(128, 1, seed));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  // A migration copy is not tenant activity: it delivers nothing.
+  server::DataMigrator migrator(&catalog);
+  const size_t target = 1 - catalog.router().ShardForClient(7);
+  ASSERT_TRUE(migrator.MigrateTenant(7, target).ok());
+  ASSERT_EQ(delivered.size(), ids.size());
+  for (server::GlobalSessionId id : ids) EXPECT_EQ(delivered[id], 1u);
+}
+
+TEST_P(OneIngestPath, MigrationCarriesSealedSegmentsVerbatim) {
+  core::AimsConfig config = Config("path_migrate");
+  server::ShardedCatalog catalog(2, config);
+  ASSERT_TRUE(catalog.init_status().ok());
+  auto id = catalog.Ingest(1, "move", MakeRecording(256, 1, 9));
+  ASSERT_TRUE(id.ok());
+  // Tier the segments first so a rebuilt-raw copy would be detectable.
+  server::ShardedCatalog::TenantRetentionPolicies policies;
+  policies.default_policy.downsample_age_seconds = 1.0;
+  ASSERT_TRUE(catalog.SweepRetention(policies, 3600 * 1000000ll).ok());
+  auto before = catalog.ListSegments(*id);
+  ASSERT_TRUE(before.ok());
+  ASSERT_FALSE(before->empty());
+  ASSERT_EQ((*before)[0].tier, 1u);
+  auto samples_before = catalog.ReadRawSamples(*id, 0);
+  ASSERT_TRUE(samples_before.ok());
+
+  const size_t wal_commits = catalog.TotalWalStats().commits;
+  server::DataMigrator migrator(&catalog);
+  const size_t target = 1 - catalog.router().ShardForClient(1);
+  ASSERT_TRUE(migrator.MigrateTenant(1, target).ok());
+  // The copy and its segments commit as one shard WAL group.
+  EXPECT_EQ(catalog.TotalWalStats().commits,
+            wal_commits + (GetParam() ? 1u : 0u));
+
+  auto check = [&](const server::ShardedCatalog& moved) {
+    auto after = moved.ListSegments(*id);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after->size(), before->size());
+    EXPECT_EQ((*after)[0].tier, 1u) << "migration must not rebuild raw";
+    EXPECT_EQ((*after)[0].decimation, (*before)[0].decimation);
+    EXPECT_EQ((*after)[0].nmse, (*before)[0].nmse);
+    auto samples_after = moved.ReadRawSamples(*id, 0);
+    ASSERT_TRUE(samples_after.ok());
+    ASSERT_EQ(samples_after->size(), samples_before->size());
+    for (size_t i = 0; i < samples_after->size(); ++i) {
+      EXPECT_EQ((*samples_after)[i].value, (*samples_before)[i].value);
+    }
+  };
+  check(catalog);
+  if (GetParam()) {
+    server::ShardedCatalog reopened(2, config);
+    ASSERT_TRUE(reopened.init_status().ok());
+    check(reopened);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, OneIngestPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Durable" : "InMemory";
+                         });
 
 TEST(WalExporter, PrometheusEmitsWalFamily) {
   obs::MetricsRegistry registry;

@@ -1,4 +1,4 @@
-#include "server/metrics.h"
+#include "obs/metrics.h"
 
 #include <cstdint>
 #include <limits>
@@ -11,7 +11,7 @@ namespace aims::server {
 namespace {
 
 TEST(CounterTest, IncrementAndValue) {
-  Counter c;
+  obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Increment(41);
@@ -19,7 +19,7 @@ TEST(CounterTest, IncrementAndValue) {
 }
 
 TEST(CounterTest, OverflowWrapsModulo2To64) {
-  Counter c;
+  obs::Counter c;
   c.Increment(std::numeric_limits<uint64_t>::max());
   EXPECT_EQ(c.value(), std::numeric_limits<uint64_t>::max());
   // One more wraps to zero; rate-as-delta consumers stay correct.
@@ -30,7 +30,7 @@ TEST(CounterTest, OverflowWrapsModulo2To64) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAllLand) {
-  Counter c;
+  obs::Counter c;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -44,7 +44,7 @@ TEST(CounterTest, ConcurrentIncrementsAllLand) {
 }
 
 TEST(GaugeTest, SetAddAndHighWaterMark) {
-  Gauge g;
+  obs::Gauge g;
   g.Set(3);
   EXPECT_EQ(g.value(), 3);
   g.Add(-5);
@@ -59,7 +59,7 @@ TEST(GaugeTest, SetAddAndHighWaterMark) {
 }
 
 TEST(HistogramTest, BucketingHonorsInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
+  obs::Histogram h({1.0, 2.0, 4.0});
   ASSERT_EQ(h.num_buckets(), 4u);  // Three finite buckets plus +inf.
   h.Record(0.5);   // -> bucket 0 (<= 1)
   h.Record(1.0);   // -> bucket 0 (inclusive bound)
@@ -76,7 +76,7 @@ TEST(HistogramTest, BucketingHonorsInclusiveUpperBounds) {
 }
 
 TEST(HistogramTest, EmptyBoundsSingleInfBucket) {
-  Histogram h({});
+  obs::Histogram h({});
   h.Record(123.0);
   EXPECT_EQ(h.num_buckets(), 1u);
   EXPECT_EQ(h.bucket_count(0), 1u);
@@ -84,7 +84,7 @@ TEST(HistogramTest, EmptyBoundsSingleInfBucket) {
 }
 
 TEST(HistogramTest, ApproxQuantileInterpolatesWithinBucket) {
-  Histogram h({10.0, 20.0, 30.0});
+  obs::Histogram h({10.0, 20.0, 30.0});
   // 10 observations uniformly in (0, 10]: the p50 estimate must land
   // mid-bucket, p100 at the bucket edge.
   for (int i = 1; i <= 10; ++i) h.Record(static_cast<double>(i));
@@ -97,19 +97,19 @@ TEST(HistogramTest, ApproxQuantileInterpolatesWithinBucket) {
 }
 
 TEST(HistogramTest, QuantileOfEmptyIsZero) {
-  Histogram h({1.0});
+  obs::Histogram h({1.0});
   EXPECT_DOUBLE_EQ(h.ApproxQuantile(0.5), 0.0);
 }
 
 TEST(HistogramTest, InfBucketReportsLastFiniteBound) {
-  Histogram h({1.0, 2.0});
+  obs::Histogram h({1.0, 2.0});
   h.Record(50.0);
   h.Record(60.0);
   EXPECT_DOUBLE_EQ(h.ApproxQuantile(0.99), 2.0);
 }
 
 TEST(HistogramTest, ConcurrentRecordsAllCounted) {
-  Histogram h(MetricsRegistry::DefaultLatencyBoundsMs());
+  obs::Histogram h(obs::MetricsRegistry::DefaultLatencyBoundsMs());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
@@ -128,22 +128,22 @@ TEST(HistogramTest, ConcurrentRecordsAllCounted) {
 }
 
 TEST(MetricsRegistryTest, SameNameSameObject) {
-  MetricsRegistry registry;
-  Counter* a = registry.GetCounter("x");
-  Counter* b = registry.GetCounter("x");
+  obs::MetricsRegistry registry;
+  obs::Counter* a = registry.GetCounter("x");
+  obs::Counter* b = registry.GetCounter("x");
   EXPECT_EQ(a, b);
   a->Increment();
   EXPECT_EQ(b->value(), 1u);
   EXPECT_NE(static_cast<void*>(registry.GetGauge("x")),
             static_cast<void*>(a));  // Kinds have separate namespaces.
-  Histogram* h1 = registry.GetHistogram("lat", {1.0, 2.0});
-  Histogram* h2 = registry.GetHistogram("lat", {99.0});
+  obs::Histogram* h1 = registry.GetHistogram("lat", {1.0, 2.0});
+  obs::Histogram* h2 = registry.GetHistogram("lat", {99.0});
   EXPECT_EQ(h1, h2);  // First registration's bounds win.
   EXPECT_EQ(h1->upper_bounds(), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(MetricsRegistryTest, DumpTextListsEverything) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   registry.GetCounter("reqs")->Increment(7);
   registry.GetGauge("depth")->AddTracked(3);
   registry.GetHistogram("lat_ms", {1.0, 10.0})->Record(0.5);
@@ -154,7 +154,7 @@ TEST(MetricsRegistryTest, DumpTextListsEverything) {
 }
 
 TEST(MetricsRegistryTest, DefaultLatencyBoundsAreAscending) {
-  std::vector<double> bounds = MetricsRegistry::DefaultLatencyBoundsMs();
+  std::vector<double> bounds = obs::MetricsRegistry::DefaultLatencyBoundsMs();
   ASSERT_FALSE(bounds.empty());
   EXPECT_DOUBLE_EQ(bounds.front(), 0.25);
   for (size_t i = 1; i < bounds.size(); ++i) {
@@ -164,19 +164,19 @@ TEST(MetricsRegistryTest, DefaultLatencyBoundsAreAscending) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentRegistrationIsSafe) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   std::vector<std::thread> threads;
-  std::vector<Counter*> seen(4, nullptr);
+  std::vector<obs::Counter*> seen(4, nullptr);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&registry, &seen, t] {
-      Counter* c = registry.GetCounter("shared");
+      obs::Counter* c = registry.GetCounter("shared");
       c->Increment();
       seen[static_cast<size_t>(t)] = c;
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(seen[0]->value(), 4u);
-  for (Counter* c : seen) EXPECT_EQ(c, seen[0]);
+  for (obs::Counter* c : seen) EXPECT_EQ(c, seen[0]);
 }
 
 }  // namespace

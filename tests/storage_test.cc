@@ -260,6 +260,25 @@ TEST(WaveletStoreTest, FailedPutRetryDoesNotLeakBlocks) {
   EXPECT_DOUBLE_EQ(fetched.ValueOrDie().at(100), coeffs[100]);
 }
 
+TEST(WaveletStoreTest, NeverWrittenBlocksFailWithIoError) {
+  // Regression: an allocated but never-written block reads back as an
+  // empty payload, and Fetch/FetchBlock used to copy coefficients out of
+  // it without a length check. The recovery attach constructor is the way
+  // such a store arises (a catalog naming pages that never reached disk).
+  const size_t n = 64;
+  MemBlockDevice device(16 * sizeof(double));
+  auto allocator = std::make_unique<SubtreeTilingAllocator>(n, 16);
+  std::vector<BlockId> ids(allocator->num_blocks());
+  for (BlockId& id : ids) id = device.Allocate();
+  WaveletStore store(&device, std::move(allocator), n, nullptr, ids);
+  auto fetched = store.Fetch({0, 63});
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.status().code(), StatusCode::kIoError);
+  auto block = store.FetchBlock(0);
+  ASSERT_FALSE(block.ok());
+  EXPECT_EQ(block.status().code(), StatusCode::kIoError);
+}
+
 TEST(RangeSumIoTest, TilingReducesBlocksForRangeSums) {
   // End-to-end: Haar range-sum coefficient sets against both allocators.
   const size_t n = 4096;

@@ -414,9 +414,10 @@ TEST(TsLifeCore, SessionFilterScopesTheSweep) {
 }
 
 TEST(TsLifeCore, ExportReplacePreservesTiersAcrossSystems) {
-  // The migration pair: a target re-ingest rebuilds tier-0 segments from
-  // reconstructed samples, then ReplaceSegments installs the source's
-  // sealed segments verbatim so tier/decimation/NMSE metadata survive.
+  // The migration pair: a plain re-ingest rebuilds tier-0 segments from the
+  // samples, while a migration copy hands the source's sealed segments to
+  // the target's ingest, which stores them verbatim so tier/decimation/
+  // NMSE metadata survive.
   core::AimsSystem source;
   streams::Recording rec = MakeRecording(256, 1);
   auto src_id = source.IngestRecording("move", rec);
@@ -430,21 +431,21 @@ TEST(TsLifeCore, ExportReplacePreservesTiersAcrossSystems) {
   ASSERT_EQ(exported.ValueOrDie()[0].meta.tier, 1u);
 
   core::AimsSystem target;
-  auto dst_id = target.IngestRecording("move", rec);
-  ASSERT_TRUE(dst_id.ok());
-  auto rebuilt = target.ListSegments(dst_id.ValueOrDie());
+  auto rebuilt_id = target.IngestRecording("move", rec);
+  ASSERT_TRUE(rebuilt_id.ok());
+  auto rebuilt = target.ListSegments(rebuilt_id.ValueOrDie());
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(rebuilt.ValueOrDie()[0].tier, 0u) << "re-ingest rebuilds raw";
 
-  ASSERT_TRUE(
-      target.ReplaceSegments(dst_id.ValueOrDie(), exported.ValueOrDie())
-          .ok());
+  auto dst_id = target.IngestRecording("move", rec, nullptr, nullptr,
+                                       &exported.ValueOrDie());
+  ASSERT_TRUE(dst_id.ok());
   auto replaced = target.ListSegments(dst_id.ValueOrDie());
   ASSERT_TRUE(replaced.ok());
   ASSERT_EQ(replaced.ValueOrDie().size(), exported.ValueOrDie().size());
   EXPECT_EQ(replaced.ValueOrDie()[0].tier, 1u);
   EXPECT_GT(replaced.ValueOrDie()[0].nmse, 0.0);
-  EXPECT_FALSE(target.ReplaceSegments(99, exported.ValueOrDie()).ok());
+  EXPECT_FALSE(source.ExportSegments(99).ok());
 }
 
 TEST(TsLifeCore, StandingQueriesMaintainExactResultsAtIngest) {
